@@ -12,7 +12,6 @@ from .fpcore import (
     MIN_SUBNORMAL,
     QNAN,
     SNAN,
-    ExactPair,
     FloatClass,
     bits_to_float,
     classify,
@@ -21,7 +20,6 @@ from .fpcore import (
     is_signaling,
     next_down,
     next_up,
-    prod_residual,
     quot_residual_sign,
     sign_bit,
     sqrt_residual_sign,

@@ -174,26 +174,10 @@ def _unparse(form) -> str:
 
 
 _MODE_KEYWORDS = {
-    ":nearest-even": RoundingMode.TO_NEAREST_EVEN,
-    ":nearest": RoundingMode.TO_NEAREST,
-    ":zero": RoundingMode.TO_ZERO,
-    ":positive-infinity": RoundingMode.TO_POSITIVE_INFINITY,
-    ":negative-infinity": RoundingMode.TO_NEGATIVE_INFINITY,
+    ":" + m.label: m for m in RoundingMode if m is not RoundingMode.INDETERMINATE
 }
-
-_STYLE_KEYWORDS = {
-    ":recording": NotificationStyle.RECORDING,
-    ":error": NotificationStyle.ERROR,
-    ":terminating": NotificationStyle.TERMINATING,
-}
-
-_KIND_KEYWORDS = {
-    ":overflow": Indicator.OVERFLOW,
-    ":underflow": Indicator.UNDERFLOW,
-    ":inexact": Indicator.INEXACT,
-    ":invalid": Indicator.INVALID,
-    ":divide-by-zero": Indicator.DIVIDE_BY_ZERO,
-}
+_STYLE_KEYWORDS = {":" + s.value: s for s in NotificationStyle}
+_KIND_KEYWORDS = {":" + k.value: k for k in Indicator}
 
 _CONSTANTS = {
     "pi": math.pi,
@@ -237,9 +221,11 @@ class Evaluator:
         if not isinstance(head, str):
             raise CliError(f"operator position holds {_unparse(head)}")
         if head == "rounding":
-            return self._eval_rounding(form)
+            return self._eval_scoped(form, rounding_mode, _MODE_KEYWORDS,
+                                     "(rounding <mode-keyword> <expr>)", "rounding mode")
         if head == "style":
-            return self._eval_style(form)
+            return self._eval_scoped(form, notification_style, _STYLE_KEYWORDS,
+                                     "(style <style-keyword> <expr>)", "style")
         if head == "trap-math":
             return self._eval_trap(form)
         if head in _ARITH:
@@ -308,22 +294,14 @@ class Evaluator:
 
     # -- special forms --
 
-    def _eval_rounding(self, form):
+    def _eval_scoped(self, form, scope, keywords, usage, what):
+        """(<head> <keyword> <expr>): expr evaluated inside scope(value)."""
         if len(form) != 3:
-            raise CliError("(rounding <mode-keyword> <expr>)")
+            raise CliError(usage)
         kw = form[1]
-        if kw not in _MODE_KEYWORDS:
-            raise CliError(f"unknown rounding mode keyword {_unparse(kw)}")
-        with rounding_mode(_MODE_KEYWORDS[kw]):
-            return self.eval(form[2])
-
-    def _eval_style(self, form):
-        if len(form) != 3:
-            raise CliError("(style <style-keyword> <expr>)")
-        kw = form[1]
-        if kw not in _STYLE_KEYWORDS:
-            raise CliError(f"unknown style keyword {_unparse(kw)}")
-        with notification_style(_STYLE_KEYWORDS[kw]):
+        if kw not in keywords:
+            raise CliError(f"unknown {what} keyword {_unparse(kw)}")
+        with scope(keywords[kw]):
             return self.eval(form[2])
 
     def _eval_trap(self, form):
@@ -443,21 +421,6 @@ def _flags_line(env: FpEnvironment) -> str:
     return "flags: " + ", ".join(sorted(k.value for k in env.flags))
 
 
-_STYLE_CHOICES = {
-    "recording": NotificationStyle.RECORDING,
-    "error": NotificationStyle.ERROR,
-    "terminating": NotificationStyle.TERMINATING,
-}
-
-_MODE_CHOICES = {
-    "nearest-even": RoundingMode.TO_NEAREST_EVEN,
-    "nearest": RoundingMode.TO_NEAREST,
-    "zero": RoundingMode.TO_ZERO,
-    "positive-infinity": RoundingMode.TO_POSITIVE_INFINITY,
-    "negative-infinity": RoundingMode.TO_NEGATIVE_INFINITY,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -475,12 +438,7 @@ def _build_parser() -> _Parser:
 
     pe = sub.add_parser("eval", help="evaluate one expression")
     pe.add_argument("expression")
-    _add_env_flags(pe)
-    pe.add_argument(
-        "--dump-env",
-        action="store_true",
-        help="print the flags and mode lines after the value",
-    )
+    _add_env_flags(pe, "the value")
 
     pc = sub.add_parser("conformance", help="print the conformance report")
     fmt = pc.add_mutually_exclusive_group()
@@ -488,51 +446,57 @@ def _build_parser() -> _Parser:
     fmt.add_argument("--json", action="store_true", help="JSON object")
 
     pr = sub.add_parser("repl", help="line-oriented evaluation loop")
-    _add_env_flags(pr)
-    pr.add_argument(
-        "--dump-env",
-        action="store_true",
-        help="print the flags and mode lines after each value",
-    )
+    _add_env_flags(pr, "each value")
     return parser
 
 
-def _add_env_flags(p: argparse.ArgumentParser) -> None:
+def _add_env_flags(p: argparse.ArgumentParser, dumped_after: str) -> None:
     p.add_argument(
         "--style",
-        choices=sorted(_STYLE_CHOICES),
+        choices=sorted(s.value for s in NotificationStyle),
         default="error",
         help="notification style (default error)",
     )
     p.add_argument(
         "--rounding",
-        choices=sorted(_MODE_CHOICES),
+        choices=sorted(kw[1:] for kw in _MODE_KEYWORDS),
         default="nearest-even",
         help="ambient rounding mode (default nearest-even)",
+    )
+    p.add_argument(
+        "--dump-env",
+        action="store_true",
+        help=f"print the flags and mode lines after {dumped_after}",
     )
 
 
 def _fresh_env(args) -> FpEnvironment:
     return FpEnvironment(
-        style=_STYLE_CHOICES[args.style], mode=_MODE_CHOICES[args.rounding]
+        style=NotificationStyle(args.style), mode=_MODE_KEYWORDS[":" + args.rounding]
     )
+
+
+def _eval_line(text: str, env: FpEnvironment, dump_env: bool) -> bool:
+    """Parse, evaluate and print one expression; False when it failed, after
+    its error line went to stderr."""
+    try:
+        result = Evaluator().eval(parse(text))
+    except CliError as exc:
+        print(f"liamath: {exc}", file=sys.stderr)
+        return False
+    except FloatingPointNotification as cond:
+        print(diagnostic(cond, "LIA-error"), file=sys.stderr)
+        return False
+    print(render_value(result))
+    if dump_env:
+        print(_flags_line(env))
+        print(f"mode: {env.mode.label}")
+    return True
 
 
 def _run_eval(args) -> int:
     with evaluation_context(_fresh_env(args)) as ctx:
-        try:
-            result = Evaluator().eval(parse(args.expression))
-        except CliError as exc:
-            print(f"liamath: {exc}", file=sys.stderr)
-            return 1
-        except FloatingPointNotification as cond:
-            print(diagnostic(cond, "LIA-error"), file=sys.stderr)
-            return 1
-        print(render_value(result))
-        if args.dump_env:
-            print(_flags_line(ctx.env))
-            print(f"mode: {ctx.env.mode.label}")
-    return 0
+        return 0 if _eval_line(args.expression, ctx.env, args.dump_env) else 1
 
 
 def _run_conformance(args) -> int:
@@ -556,18 +520,7 @@ def _run_repl(args) -> int:
                 continue
             if stripped == ":quit":
                 break
-            try:
-                result = Evaluator().eval(parse(stripped))
-            except CliError as exc:
-                print(f"liamath: {exc}", file=sys.stderr)
-                continue
-            except FloatingPointNotification as cond:
-                print(diagnostic(cond, "LIA-error"), file=sys.stderr)
-                continue
-            print(render_value(result))
-            if args.dump_env:
-                print(_flags_line(ctx.env))
-                print(f"mode: {ctx.env.mode.label}")
+            _eval_line(stripped, ctx.env, args.dump_env)
     return 0
 
 

@@ -23,7 +23,9 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from . import fpcore
-from .rounding import RoundingMode, resolve_mode
+# Indicator is defined beside the rounding cores that name it; this module
+# re-exports the same class.
+from .rounding import Indicator, RoundingMode, resolve_mode
 
 __all__ = [
     "Indicator",
@@ -57,16 +59,6 @@ __all__ = [
     "format_value",
     "diagnostic",
 ]
-
-
-class Indicator(Enum):
-    """The five indicator kinds an operation can raise."""
-
-    OVERFLOW = "overflow"
-    UNDERFLOW = "underflow"
-    INEXACT = "inexact"
-    INVALID = "invalid"
-    DIVIDE_BY_ZERO = "divide-by-zero"
 
 
 class NotificationStyle(Enum):

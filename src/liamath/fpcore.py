@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "QNAN",
     "SNAN",
     "FloatClass",
-    "ExactPair",
     "float_to_bits",
     "bits_to_float",
     "sign_bit",
@@ -32,7 +30,6 @@ __all__ = [
     "next_up",
     "next_down",
     "two_sum",
-    "prod_residual",
     "quot_residual_sign",
     "sqrt_residual_sign",
     "decimal_form",
@@ -131,16 +128,8 @@ def next_down(x: float) -> float:
     return math.nextafter(x, -math.inf)
 
 
-@dataclass(frozen=True)
-class ExactPair:
-    """Unevaluated sum hi + lo with hi the rounded result and lo the residual."""
-
-    hi: float
-    lo: float
-
-
-def two_sum(a: float, b: float) -> ExactPair:
-    """Error-free addition: hi = RN(a+b), hi + lo == a + b exactly.
+def two_sum(a: float, b: float) -> tuple[float, float]:
+    """Error-free addition: (hi, lo) with hi = RN(a+b) and hi + lo == a + b.
 
     Branch-free six-operation form; valid for finite a, b whose rounded sum
     stays finite.
@@ -150,7 +139,7 @@ def two_sum(a: float, b: float) -> ExactPair:
     bp = s - ap
     da = a - ap
     db = b - bp
-    return ExactPair(s, da + db)
+    return s, da + db
 
 
 def _decompose(x: float) -> tuple[int, int]:
@@ -169,33 +158,11 @@ def _scaled_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def prod_residual(a: float, b: float) -> ExactPair:
-    """Error-free multiplication: hi = RN(a*b), hi + lo == a * b exactly.
-
-    No hardware fused multiply-add is assumed; the residual comes from the
-    exact 53x53-bit integer significand product.  Valid while hi is finite
-    and the residual itself is representable (hi not deep in the subnormal
-    range); the rounding layer screens those cases before calling.
-    """
-    hi = a * b
-    if a == 0.0 or b == 0.0:
-        return ExactPair(hi, 0.0)
-    ma, ea = _decompose(a)
-    mb, eb = _decompose(b)
-    mh, eh = _decompose(hi)
-    p = ma * mb
-    ep = ea + eb
-    d = ep - eh
-    if d >= 0:
-        return ExactPair(hi, math.ldexp(float((p << d) - mh), eh))
-    return ExactPair(hi, math.ldexp(float(p - (mh << -d)), ep))
-
-
 def prod_residual_sign(a: float, b: float, p: float) -> int:
     """Sign of a*b - p for finite operands and p = RN(a*b) finite.
 
-    Unlike prod_residual this never materializes the residual as a float, so
-    it is safe arbitrarily deep in the subnormal range.
+    The residual is never materialized as a float, so this is safe
+    arbitrarily deep in the subnormal range.
     """
     if a == 0.0 or b == 0.0:
         return 0

@@ -7,10 +7,10 @@ continue with the empty interval instead.
 
 Arithmetic rounds the lower endpoint toward -inf and the upper toward +inf,
 so the exact set of results is always enclosed (one ulp of slack per
-endpoint at most).  Endpoint arithmetic runs under recording style
-internally: endpoint overflow/inexact set flags without signaling, while
-interval-level conditions (empty constructions, zero divisors) notify at
-the ambient style.
+endpoint at most).  Each endpoint comes straight from the rounding core of
+its operation: endpoint overflow/underflow/inexact set flags without
+notifying, while interval-level conditions (empty constructions, zero
+divisors) notify at the ambient style.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 
 from . import ops
-from .environment import Indicator, notification_style, notify, NotificationStyle
+# notification_style is unused here, but the benchmark tracer patches this
+# module attribute (bench/tracer.py), so the import stays.
+from .environment import Indicator, current_environment, notification_style, notify
 from .fpcore import QNAN, decimal_form
+from .rounding import RoundingMode, add_core, div_core, mul_core, sub_core
 
 __all__ = [
     "Interval",
@@ -37,8 +40,8 @@ __all__ = [
     "i_subseteq",
 ]
 
-_DOWN = 3  # RoundingMode.TO_NEGATIVE_INFINITY
-_UP = 2    # RoundingMode.TO_POSITIVE_INFINITY
+_DOWN = RoundingMode.TO_NEGATIVE_INFINITY
+_UP = RoundingMode.TO_POSITIVE_INFINITY
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,7 @@ def radius(i: Interval) -> float:
         return 0.0
     if math.isinf(i.low) or math.isinf(i.high):
         return math.inf
-    with notification_style(NotificationStyle.RECORDING):
-        return ops.sub(i.high, i.low, _UP)
+    return _endpoint(sub_core, i.high, i.low, _UP)
 
 
 def is_point(i: Interval) -> bool:
@@ -166,41 +168,44 @@ def i_subseteq(i1: Interval, i2: Interval) -> bool:
     return i2.low <= i1.low and i1.high <= i2.high
 
 
-def _sum_endpoint(x: float, y: float, mode: int) -> float:
-    # An opposed-infinity endpoint sum resolves to the positional infinity
-    # (the unbounded direction wins); no flag, the set view has no fault.
-    if math.isinf(x) and math.isinf(y) and (x > 0) != (y > 0):
-        return -math.inf if mode == _DOWN else math.inf
-    return ops.add(x, y, mode)
+def _endpoint(core, x: float, y: float, mode: RoundingMode) -> float:
+    """x op y rounded in mode by the operation's core, with its indicator
+    recorded as a flag, never notified.
+
+    The core answers invalid exactly where the set view still has a
+    definite endpoint, and no flag is set there: opposed infinities in a
+    sum or difference give the positional infinity (the unbounded direction
+    wins), zero times infinity in a corner product a hard zero, infinity
+    over infinity in a corner quotient a signed zero.
+    """
+    value, kind, _ = core(x, y, mode)
+    if kind is None:
+        return value
+    if kind is Indicator.INVALID:
+        if core is mul_core:
+            return 0.0
+        if core is div_core:
+            return 0.0 if (x > 0) == (y > 0) else -0.0
+        return -math.inf if mode is _DOWN else math.inf
+    ops._imply_inexact(kind)
+    current_environment().record(kind)
+    return value
 
 
-def _diff_endpoint(x: float, y: float, mode: int) -> float:
-    if math.isinf(x) and math.isinf(y) and (x > 0) == (y > 0):
-        return -math.inf if mode == _DOWN else math.inf
-    return ops.sub(x, y, mode)
-
-
-def _prod_endpoint(x: float, y: float, mode: int) -> float:
-    # Zero times infinity in a corner product contributes a hard zero.
-    if (x == 0.0 and math.isinf(y)) or (math.isinf(x) and y == 0.0):
-        return 0.0
-    return ops.mul(x, y, mode)
-
-
-def _quot_endpoint(x: float, y: float, mode: int) -> float:
-    # Infinity over infinity in a corner quotient contributes a signed zero.
-    if math.isinf(x) and math.isinf(y):
-        return 0.0 if (x > 0) == (y > 0) else -0.0
-    return ops.div(x, y, mode)
+def _corner_hull(core, i1: Interval, i2: Interval) -> Interval:
+    """The hull of the four corner results of a product or quotient."""
+    corners = ((i1.low, i2.low), (i1.low, i2.high), (i1.high, i2.low), (i1.high, i2.high))
+    low = min(_endpoint(core, x, y, _DOWN) for x, y in corners)
+    high = max(_endpoint(core, x, y, _UP) for x, y in corners)
+    return Interval(low, high)
 
 
 def i_add(i1: Interval, i2: Interval) -> Interval:
     """Interval sum; empty absorbs."""
     if i1.is_empty or i2.is_empty:
         return EMPTY
-    with notification_style(NotificationStyle.RECORDING):
-        low = _sum_endpoint(i1.low, i2.low, _DOWN)
-        high = _sum_endpoint(i1.high, i2.high, _UP)
+    low = _endpoint(add_core, i1.low, i2.low, _DOWN)
+    high = _endpoint(add_core, i1.high, i2.high, _UP)
     return Interval(low, high)
 
 
@@ -208,9 +213,8 @@ def i_sub(i1: Interval, i2: Interval) -> Interval:
     """Interval difference; empty absorbs."""
     if i1.is_empty or i2.is_empty:
         return EMPTY
-    with notification_style(NotificationStyle.RECORDING):
-        low = _diff_endpoint(i1.low, i2.high, _DOWN)
-        high = _diff_endpoint(i1.high, i2.low, _UP)
+    low = _endpoint(sub_core, i1.low, i2.high, _DOWN)
+    high = _endpoint(sub_core, i1.high, i2.low, _UP)
     return Interval(low, high)
 
 
@@ -218,16 +222,7 @@ def i_mul(i1: Interval, i2: Interval) -> Interval:
     """Interval product over the four corner products; empty absorbs."""
     if i1.is_empty or i2.is_empty:
         return EMPTY
-    corners = (
-        (i1.low, i2.low),
-        (i1.low, i2.high),
-        (i1.high, i2.low),
-        (i1.high, i2.high),
-    )
-    with notification_style(NotificationStyle.RECORDING):
-        low = min(_prod_endpoint(x, y, _DOWN) for x, y in corners)
-        high = max(_prod_endpoint(x, y, _UP) for x, y in corners)
-    return Interval(low, high)
+    return _corner_hull(mul_core, i1, i2)
 
 
 def i_div(i1: Interval, i2: Interval) -> Interval:
@@ -244,13 +239,4 @@ def i_div(i1: Interval, i2: Interval) -> Interval:
     if i2.low <= 0.0 <= i2.high:
         full = Interval(-math.inf, math.inf)
         return notify(Indicator.DIVIDE_BY_ZERO, "interval-div", (i1, i2), full)
-    corners = (
-        (i1.low, i2.low),
-        (i1.low, i2.high),
-        (i1.high, i2.low),
-        (i1.high, i2.high),
-    )
-    with notification_style(NotificationStyle.RECORDING):
-        low = min(_quot_endpoint(x, y, _DOWN) for x, y in corners)
-        high = max(_quot_endpoint(x, y, _UP) for x, y in corners)
-    return Interval(low, high)
+    return _corner_hull(div_core, i1, i2)

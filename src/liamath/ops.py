@@ -1,15 +1,15 @@
 """Arithmetic with full notification semantics.
 
-Each operation screens special operands first (signaling NaNs, infinities,
-zero divisors), then computes the finite case through the directed-rounding
-layer and raises whichever indicator applies: invalid, divide-by-zero,
-overflow, underflow, or inexact.  The value an operation returns is always
-the continuation value, whether or not a notification fired, so recording
-style and a continue-everything trap produce identical results.
+Each operation converts its operands with float(), asks the operation's
+core in the rounding layer for (value, indicator, continuation), and raises
+the indicator, if any: invalid, divide-by-zero, overflow, underflow, or
+inexact.  The value an operation returns is always the continuation value,
+whether or not a notification fired, so recording style and a
+continue-everything trap produce identical results.
 
 Comparison follows the partial-order reading: NaN is unordered, equality
 chains adjacent pairs, inequality requires all pairs distinct, and a
-signaling NaN raises invalid with continuation false for both directions.
+signaling NaN raises invalid with continuation false.
 """
 
 from __future__ import annotations
@@ -19,135 +19,60 @@ from itertools import combinations
 
 from . import rounding
 from .environment import Indicator, current_environment, notify
-from .fpcore import MAX_FINITE, MIN_NORMAL, QNAN, is_signaling, quiet, sign_bit
+from .fpcore import is_signaling
 
 __all__ = ["add", "sub", "mul", "div", "sqrt", "eq", "neq"]
 
 
-def _finish(
-    name: str,
-    operands: tuple,
-    parts: tuple[float, int, bool],
-    mode: rounding.RoundingMode,
-    zero_pair: tuple[float, float] | None = None,
-):
-    """Assemble the rounded value and raise the applicable indicator."""
-    rn, s, overflowed = parts
-    if overflowed:
-        value = rounding.overflow_edge(rn, mode)
-    elif rn == 0.0 and s == 0 and zero_pair is not None:
-        value = rounding.zero_sum_value(zero_pair[0], zero_pair[1], mode)
-    else:
-        value = rounding.directed_value(rn, s, mode)
-    # Overflow means the exact result lies strictly beyond the finite range,
-    # equivalently the away-from-zero neighbor of maxfinite would be needed.
-    over = overflowed or (rn == MAX_FINITE and s > 0) or (rn == -MAX_FINITE and s < 0)
-    inexact = overflowed or s != 0
-    if over:
+def _imply_inexact(kind: Indicator) -> None:
+    """Overflow and underflow are inexact by definition: set that flag
+    silently, before kind itself is raised.  Interval endpoints use this
+    too."""
+    if kind is Indicator.OVERFLOW or kind is Indicator.UNDERFLOW:
         current_environment().record(Indicator.INEXACT)
-        return notify(Indicator.OVERFLOW, name, operands, value)
-    if inexact and abs(value) < MIN_NORMAL:
-        current_environment().record(Indicator.INEXACT)
-        return notify(Indicator.UNDERFLOW, name, operands, value)
-    if inexact:
-        return notify(Indicator.INEXACT, name, operands, value)
-    return value
+
+
+def _deliver(name: str, operands: tuple, answer: tuple):
+    """Return a core's answer, notifying its indicator when it has one."""
+    value, kind, continuation = answer
+    if kind is None:
+        return value
+    _imply_inexact(kind)
+    return notify(kind, name, operands, continuation)
 
 
 def add(a, b, mode=None):
     """a + b with notifications; mode None means the ambient mode."""
     a = float(a)
     b = float(b)
-    mode = rounding.resolve_mode(mode)
-    if is_signaling(a) or is_signaling(b):
-        return notify(Indicator.INVALID, "add", (a, b), QNAN)
-    if math.isnan(a) or math.isnan(b):
-        return a + b
-    if math.isinf(a) or math.isinf(b):
-        r = a + b
-        if math.isnan(r):  # opposite infinities
-            return notify(Indicator.INVALID, "add", (a, b), QNAN)
-        return r
-    return _finish("add", (a, b), rounding.add_parts(a, b), mode, zero_pair=(a, b))
+    return _deliver("add", (a, b), rounding.add_core(a, b, rounding.resolve_mode(mode)))
 
 
 def sub(a, b, mode=None):
     """a - b with notifications; mode None means the ambient mode."""
     a = float(a)
     b = float(b)
-    mode = rounding.resolve_mode(mode)
-    if is_signaling(a) or is_signaling(b):
-        return notify(Indicator.INVALID, "sub", (a, b), QNAN)
-    if math.isnan(a) or math.isnan(b):
-        return a - b
-    if math.isinf(a) or math.isinf(b):
-        r = a - b
-        if math.isnan(r):  # same-signed infinities
-            return notify(Indicator.INVALID, "sub", (a, b), QNAN)
-        return r
-    return _finish("sub", (a, b), rounding.add_parts(a, -b), mode, zero_pair=(a, -b))
+    return _deliver("sub", (a, b), rounding.sub_core(a, b, rounding.resolve_mode(mode)))
 
 
 def mul(a, b, mode=None):
     """a * b with notifications; mode None means the ambient mode."""
     a = float(a)
     b = float(b)
-    mode = rounding.resolve_mode(mode)
-    if is_signaling(a) or is_signaling(b):
-        return notify(Indicator.INVALID, "mul", (a, b), QNAN)
-    if math.isnan(a) or math.isnan(b):
-        return a * b
-    if math.isinf(a) or math.isinf(b):
-        r = a * b
-        if math.isnan(r):  # zero times infinity
-            return notify(Indicator.INVALID, "mul", (a, b), QNAN)
-        return r
-    return _finish("mul", (a, b), rounding.mul_parts(a, b), mode)
+    return _deliver("mul", (a, b), rounding.mul_core(a, b, rounding.resolve_mode(mode)))
 
 
 def div(a, b, mode=None):
     """a / b with notifications; mode None means the ambient mode."""
     a = float(a)
     b = float(b)
-    mode = rounding.resolve_mode(mode)
-    if is_signaling(a) or is_signaling(b):
-        return notify(Indicator.INVALID, "div", (a, b), QNAN)
-    if math.isnan(a):
-        return quiet(a)
-    if math.isnan(b):
-        return quiet(b)
-    same = sign_bit(a) == sign_bit(b)
-    if b == 0.0:
-        if a == 0.0:
-            return notify(Indicator.INVALID, "div", (a, b), QNAN)
-        if math.isinf(a):
-            return math.inf if same else -math.inf
-        cont = math.inf if same else -math.inf
-        return notify(Indicator.DIVIDE_BY_ZERO, "div", (a, b), cont)
-    if math.isinf(a):
-        if math.isinf(b):
-            return notify(Indicator.INVALID, "div", (a, b), QNAN)
-        return math.inf if same else -math.inf
-    if math.isinf(b):
-        return 0.0 if same else -0.0
-    return _finish("div", (a, b), rounding.div_parts(a, b), mode)
+    return _deliver("div", (a, b), rounding.div_core(a, b, rounding.resolve_mode(mode)))
 
 
 def sqrt(x, mode=None):
     """Square root with notifications; mode None means the ambient mode."""
     x = float(x)
-    mode = rounding.resolve_mode(mode)
-    if is_signaling(x):
-        return notify(Indicator.INVALID, "sqrt", (x,), QNAN)
-    if math.isnan(x):
-        return x
-    if x == 0.0:
-        return x
-    if x < 0.0:
-        return notify(Indicator.INVALID, "sqrt", (x,), QNAN)
-    if math.isinf(x):
-        return x
-    return _finish("sqrt", (x,), rounding.sqrt_parts(x), mode)
+    return _deliver("sqrt", (x,), rounding.sqrt_core(x, rounding.resolve_mode(mode)))
 
 
 def _eq2(a: float, b: float) -> bool:

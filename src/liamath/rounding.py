@@ -6,27 +6,47 @@ an error-free transformation, and the result is stepped to a neighbor when
 the requested direction calls for it.  Results are bit-exact for every mode,
 including signed zeros, subnormals, and the overflow edge cases.
 
-Functions here produce values only; indicator flags and notifications are
-the ops layer's job.
+Each operation has one pure core (add_core ... sqrt_core) that holds its
+only table of special values and returns (value, indicator or None,
+continuation), with the defaults and exceptions of IEEE 754-2019 section 7.
+The value keeps the host's NaN bits; the continuation of an invalid
+operation is the canonical QNAN.  The *_dir functions return the value;
+the ops layer notifies the indicator.
 """
 
 from __future__ import annotations
 
 import math
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 from . import fpcore
-from .fpcore import MAX_FINITE, QNAN, quiet, sign_bit
+from .fpcore import MAX_FINITE, MIN_NORMAL, QNAN, sign_bit
 
 __all__ = [
+    "Indicator",
     "RoundingMode",
     "resolve_mode",
+    "add_core",
+    "sub_core",
+    "mul_core",
+    "div_core",
+    "sqrt_core",
     "add_dir",
     "sub_dir",
     "mul_dir",
     "div_dir",
     "sqrt_dir",
 ]
+
+
+class Indicator(Enum):
+    """The five indicator kinds an operation can raise."""
+
+    OVERFLOW = "overflow"
+    UNDERFLOW = "underflow"
+    INEXACT = "inexact"
+    INVALID = "invalid"
+    DIVIDE_BY_ZERO = "divide-by-zero"
 
 
 class RoundingMode(IntEnum):
@@ -74,47 +94,12 @@ def resolve_mode(mode: RoundingMode | int | None) -> RoundingMode:
     return mode
 
 
-def directed_value(rn: float, s: int, mode: RoundingMode) -> float:
-    """Convert a round-to-nearest result plus exact residual sign to mode.
-
-    s is the sign of (exact - rn).  rn must be finite.
-    """
-    if s == 0 or mode in _NEAREST:
-        return rn
-    if mode is RoundingMode.TO_POSITIVE_INFINITY:
-        return math.nextafter(rn, math.inf) if s > 0 else rn
-    if mode is RoundingMode.TO_NEGATIVE_INFINITY:
-        return math.nextafter(rn, -math.inf) if s < 0 else rn
-    # TO_ZERO: truncate; the residual sign settles which side of zero the
-    # exact value is on when rn itself is a zero.
-    if rn < 0.0 or (rn == 0.0 and s < 0):
-        return math.nextafter(rn, math.inf) if s > 0 else rn
-    return math.nextafter(rn, -math.inf) if s < 0 else rn
-
-
-def overflow_edge(rn_inf: float, mode: RoundingMode) -> float:
-    """Directed result when round-to-nearest already overflowed to +-inf."""
-    if mode in _NEAREST:
-        return rn_inf
-    if rn_inf > 0:
-        return rn_inf if mode is RoundingMode.TO_POSITIVE_INFINITY else MAX_FINITE
-    return rn_inf if mode is RoundingMode.TO_NEGATIVE_INFINITY else -MAX_FINITE
-
-
-def zero_sum_value(a: float, b: float, mode: RoundingMode) -> float:
-    """Sign of an exactly zero sum: +0 everywhere except toward -inf,
-    unless both addends are zeros of the same sign, which is preserved."""
-    if a == 0.0 and b == 0.0 and sign_bit(a) == sign_bit(b):
-        return a
-    return -0.0 if mode is RoundingMode.TO_NEGATIVE_INFINITY else 0.0
-
-
 def add_parts(a: float, b: float) -> tuple[float, int, bool]:
     """(rn, residual sign, overflowed) for finite a + b."""
     rn = a + b
     if math.isinf(rn):
         return rn, (1 if rn > 0 else -1), True
-    lo = fpcore.two_sum(a, b).lo
+    lo = fpcore.two_sum(a, b)[1]
     return rn, (lo > 0.0) - (lo < 0.0), False
 
 
@@ -142,67 +127,144 @@ def sqrt_parts(x: float) -> tuple[float, int, bool]:
     return rn, fpcore.sqrt_residual_sign(x, rn), False
 
 
-def _assemble(
-    parts: tuple[float, int, bool],
-    mode: RoundingMode,
-    zero_pair: tuple[float, float] | None = None,
-) -> float:
+def _rounded(parts: tuple[float, int, bool], mode: RoundingMode, addends=None):
+    """A core's answer for finite operands from (rn, residual sign s,
+    overflowed), s being the sign of (exact - rn); addends, given for sums
+    only, sign an exactly zero sum."""
     rn, s, overflowed = parts
     if overflowed:
-        return overflow_edge(rn, mode)
-    if rn == 0.0 and s == 0 and zero_pair is not None:
-        return zero_sum_value(zero_pair[0], zero_pair[1], mode)
-    return directed_value(rn, s, mode)
+        # rn is +-inf: nearest and the direction away from zero keep it, the
+        # other directions stop at the largest finite magnitude.
+        if rn > 0:
+            away = RoundingMode.TO_POSITIVE_INFINITY
+        else:
+            away = RoundingMode.TO_NEGATIVE_INFINITY
+        value = rn if mode in _NEAREST or mode is away else math.copysign(MAX_FINITE, rn)
+        return value, Indicator.OVERFLOW, value
+    if s == 0:
+        # An exactly zero sum is +0 in every mode but toward -inf, unless
+        # both addends are zeros of the same sign, which rn already keeps.
+        if rn == 0.0 and addends is not None:
+            a, b = addends
+            if not (a == 0.0 and b == 0.0 and sign_bit(a) == sign_bit(b)):
+                rn = -0.0 if mode is RoundingMode.TO_NEGATIVE_INFINITY else 0.0
+        return rn, None, rn
+    value = rn
+    if mode not in _NEAREST:
+        # Step to the neighbor when the exact value lies on the requested
+        # side of rn.  Toward zero is upward below zero; when rn itself is a
+        # zero, the residual sign settles which side of zero it stands for.
+        if mode is RoundingMode.TO_ZERO:
+            up = rn < 0.0 or (rn == 0.0 and s < 0)
+        else:
+            up = mode is RoundingMode.TO_POSITIVE_INFINITY
+        if (s > 0) == up:
+            value = math.nextafter(rn, math.inf if up else -math.inf)
+    # Overflow means the exact result lies strictly beyond the finite range,
+    # equivalently the away-from-zero neighbor of maxfinite would be needed.
+    if (rn == MAX_FINITE and s > 0) or (rn == -MAX_FINITE and s < 0):
+        return value, Indicator.OVERFLOW, value
+    if abs(value) < MIN_NORMAL:
+        return value, Indicator.UNDERFLOW, value
+    return value, Indicator.INEXACT, value
 
 
-def add_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
-    """a + b rounded in mode (ambient mode when None)."""
-    mode = resolve_mode(mode)
-    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
-        return a + b
-    return _assemble(add_parts(a, b), mode, zero_pair=(a, b))
+def _host_special(r: float, a: float, b: float):
+    """The answer for a sum or product with a non-finite operand, r being
+    the host result: a NaN made from non-NaN operands (inf - inf, 0 * inf)
+    or any signaling operand is invalid; a quiet NaN passes silently."""
+    if r != r and (a == a and b == b or fpcore.is_signaling(a) or fpcore.is_signaling(b)):
+        return r, Indicator.INVALID, QNAN
+    return r, None, r
 
 
-def sub_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
-    """a - b rounded in mode (ambient mode when None)."""
-    mode = resolve_mode(mode)
-    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
-        return a - b
-    return _assemble(add_parts(a, -b), mode, zero_pair=(a, -b))
+def _nan_operand(a: float, b: float):
+    """The answer when a or b is NaN: the first NaN, quieted; invalid when
+    either operand signals."""
+    value = fpcore.quiet(a if a != a else b)
+    if fpcore.is_signaling(a) or fpcore.is_signaling(b):
+        return value, Indicator.INVALID, QNAN
+    return value, None, value
 
 
-def mul_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
-    """a * b rounded in mode (ambient mode when None)."""
-    mode = resolve_mode(mode)
-    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
-        return a * b
-    return _assemble(mul_parts(a, b), mode)
+def add_core(a: float, b: float, mode: RoundingMode):
+    """a + b rounded in mode (a RoundingMode, already resolved)."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _rounded(add_parts(a, b), mode, (a, b))
+    return _host_special(a + b, a, b)
 
 
-def div_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
-    """a / b rounded in mode (ambient mode when None).
+def sub_core(a: float, b: float, mode: RoundingMode):
+    """a - b rounded in mode.  The NaN path computes a - b itself: the host's
+    a + (-b) differs from it in the sign bit of a NaN."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _rounded(add_parts(a, -b), mode, (a, -b))
+    return _host_special(a - b, a, b)
+
+
+def mul_core(a: float, b: float, mode: RoundingMode):
+    """a * b rounded in mode."""
+    if math.isfinite(a) and math.isfinite(b):
+        return _rounded(mul_parts(a, b), mode)
+    return _host_special(a * b, a, b)
+
+
+def div_core(a: float, b: float, mode: RoundingMode):
+    """a / b rounded in mode.
 
     Division by zero and the indeterminate quotients follow the usual
     special-value rules (the hardware cannot be asked: CPython raises on a
     literal zero divide, so the special cases are built by hand).
     """
-    mode = resolve_mode(mode)
-    if math.isnan(a):
-        return quiet(a)
-    if math.isnan(b):
-        return quiet(b)
-    same = sign_bit(a) == sign_bit(b)
+    if math.isfinite(a) and math.isfinite(b) and b != 0.0:
+        return _rounded(div_parts(a, b), mode)
+    if a != a or b != b:
+        return _nan_operand(a, b)
+    inf = math.inf if sign_bit(a) == sign_bit(b) else -math.inf
     if b == 0.0:
         if a == 0.0:
-            return QNAN
-        return math.inf if same else -math.inf
+            return QNAN, Indicator.INVALID, QNAN
+        if math.isinf(a):
+            return inf, None, inf
+        return inf, Indicator.DIVIDE_BY_ZERO, inf
     if math.isinf(a):
         if math.isinf(b):
-            return QNAN
-        return math.inf if same else -math.inf
-    if math.isinf(b):
-        return 0.0 if same else -0.0
-    return _assemble(div_parts(a, b), mode)
+            return QNAN, Indicator.INVALID, QNAN
+        return inf, None, inf
+    zero = 0.0 if inf > 0 else -0.0
+    return zero, None, zero
+
+
+def sqrt_core(x: float, mode: RoundingMode):
+    """Square root of x rounded in mode; negative arguments are invalid."""
+    if math.isfinite(x) and x > 0.0:
+        return _rounded(sqrt_parts(x), mode)
+    if x != x:
+        return _nan_operand(x, x)
+    if x < 0.0:
+        return QNAN, Indicator.INVALID, QNAN
+    return x, None, x
+
+
+def add_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
+    """a + b rounded in mode (ambient mode when None)."""
+    return add_core(a, b, resolve_mode(mode))[0]
+
+
+def sub_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
+    """a - b rounded in mode (ambient mode when None)."""
+    return sub_core(a, b, resolve_mode(mode))[0]
+
+
+def mul_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
+    """a * b rounded in mode (ambient mode when None)."""
+    return mul_core(a, b, resolve_mode(mode))[0]
+
+
+def div_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
+    """a / b rounded in mode (ambient mode when None); 0/0 and inf/inf give
+    a quiet NaN, a nonzero over a zero the signed infinity."""
+    return div_core(a, b, resolve_mode(mode))[0]
 
 
 def sqrt_dir(x: float, mode: RoundingMode | int | None = None) -> float:
@@ -211,13 +273,4 @@ def sqrt_dir(x: float, mode: RoundingMode | int | None = None) -> float:
     Zeros return themselves (sqrt(-0.0) is -0.0); negative arguments give a
     quiet NaN.
     """
-    mode = resolve_mode(mode)
-    if math.isnan(x):
-        return quiet(x)
-    if x == 0.0:
-        return x
-    if x < 0.0:
-        return QNAN
-    if math.isinf(x):
-        return x
-    return _assemble(sqrt_parts(x), mode)
+    return sqrt_core(x, resolve_mode(mode))[0]

@@ -4,15 +4,19 @@ import math
 
 import pytest
 
+from liamath import ops
 from liamath.environment import (
+    Continue,
     DivisionByZeroNotification,
+    HandlerClause,
     Indicator,
     InvalidOperationNotification,
     NotificationStyle,
     current_environment,
     set_notification_style,
+    trap_math,
 )
-from liamath.fpcore import QNAN, SNAN, sign_bit
+from liamath.fpcore import MAX_FINITE, MIN_SUBNORMAL, QNAN, SNAN, sign_bit
 from liamath.interval import (
     EMPTY,
     Interval,
@@ -223,6 +227,27 @@ class TestArithmetic:
         s = i_add(Interval(0.1, 0.1), Interval(0.2, 0.2))
         assert not s.is_empty
         assert Indicator.INEXACT in flags()
+        # overflowing and underflowing endpoints inside a trap whose clause
+        # would continue: the clause never runs, and the body still sees
+        # the error style it was given
+        for kind, factors, want in (
+            (Indicator.OVERFLOW, (MAX_FINITE, 2.0), Interval(MAX_FINITE, INF)),
+            (Indicator.UNDERFLOW, (MIN_SUBNORMAL, 0.5), Interval(0.0, MIN_SUBNORMAL)),
+        ):
+            ran = []
+            clause = HandlerClause(kind, Continue(lambda: ran.append(kind) or 0.0))
+            a, b = (Interval(x, x) for x in factors)
+            env.clear()
+            got, style = trap_math(
+                None, lambda: (i_mul(a, b), current_environment().style), clause
+            )
+            assert got == want
+            assert ran == []
+            assert flags() == {kind, Indicator.INEXACT}
+            assert style is NotificationStyle.ERROR
+            # the same product on scalars does reach the clause
+            assert trap_math(None, lambda: ops.mul(*factors), clause) == 0.0
+            assert ran == [kind]
 
     def test_endpoint_overflow_widens_to_infinity(self):
         set_notification_style(REC)

@@ -58,8 +58,7 @@ class TestInvalidOperations:
     def test_recording_yields_quiet_nan_and_flag(self, fn, name):
         set_notification_style(REC)
         out = fn()
-        assert math.isnan(out)
-        assert not is_signaling(out)
+        assert float_to_bits(out) == float_to_bits(float("nan"))  # canonical QNAN
         assert flags() == {Indicator.INVALID}
 
     @pytest.mark.parametrize("fn,name", cases)
@@ -67,7 +66,7 @@ class TestInvalidOperations:
         with pytest.raises(InvalidOperationNotification) as info:
             fn()
         assert info.value.operation == name
-        assert math.isnan(info.value.continuation)
+        assert float_to_bits(info.value.continuation) == float_to_bits(float("nan"))
 
     def test_signaling_nan_is_invalid_everywhere(self):
         set_notification_style(REC)
@@ -80,8 +79,12 @@ class TestInvalidOperations:
         ):
             current_environment().clear()
             out = fn()
-            assert math.isnan(out) and not is_signaling(out)
+            assert float_to_bits(out) == float_to_bits(float("nan"))  # canonical QNAN
             assert flags() == {Indicator.INVALID}
+            with pytest.raises(InvalidOperationNotification) as info:
+                with notification_style(NotificationStyle.ERROR):
+                    fn()
+            assert float_to_bits(info.value.continuation) == float_to_bits(float("nan"))
 
     def test_quiet_nan_propagates_silently(self):
         set_notification_style(REC)

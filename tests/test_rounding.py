@@ -1,6 +1,7 @@
 """Directed rounding layer: values only, no flags."""
 
 import math
+import zlib
 
 import pytest
 
@@ -186,6 +187,25 @@ class TestSqrtDir:
         assert math.isnan(sqrt_dir(QNAN, NE))
 
 
+class TestNanBits:
+    def test_nan_results_keep_the_host_bits(self):
+        # The *_dir functions return the NaN the host arithmetic makes, which
+        # the notifying layer replaces with the canonical QNAN.  For sub,
+        # 1.0 - x and 1.0 + (-x) differ in the NaN sign bit, so sub must not
+        # reuse add on this path.
+        inf = math.inf
+        cases = [
+            (sub_dir, (1.0, QNAN), 1.0 - QNAN),
+            (sub_dir, (1.0, -QNAN), 1.0 - (-QNAN)),
+            (add_dir, (inf, -inf), inf + -inf),
+            (mul_dir, (inf, 0.0), inf * 0.0),
+            (add_dir, (SNAN, 1.0), SNAN + 1.0),
+        ]
+        for fn, args, host in cases:
+            for mode in ALL_MODES:
+                assert float_to_bits(fn(*args, mode)) == float_to_bits(host), (fn, args, mode)
+
+
 class TestAmbientMode:
     def test_mode_argument_none_reads_the_environment(self):
         with evaluation_context():
@@ -202,7 +222,7 @@ class TestAgainstOracle:
     def test_directed_matches_rational_oracle(self, op):
         impl = {"add": add_dir, "sub": sub_dir, "mul": mul_dir, "div": div_dir}[op]
         orc = oracles.ORACLES[op]
-        for a, b in oracles.sample_pairs(op, 1500, seed=hash(op) % 10000):
+        for a, b in oracles.sample_pairs(op, 1500, seed=zlib.crc32(op.encode())):
             for mode in ALL_MODES:
                 got = impl(a, b, mode)
                 want = orc(a, b, mode)
