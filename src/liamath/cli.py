@@ -28,20 +28,21 @@ Clauses look like (:overflow :clear (:continue <expr>)); actions are
 (:continue <expr>).
 
 Constants: pi e max-finite min-normal min-subnormal +inf -inf qnan snan
-true false.  Numbers may be decimal or C99 hex floats.
+true false.  Numbers may be decimal or C99 hex floats.  Lists nest at
+most MAX_DEPTH (200) deep; deeper input is a syntax error.
 
-Exit status: 0 success, 1 usage/syntax/evaluation errors (an unhandled
-error-style notification prints an LIA-error line), 2 terminating-style
-notification (after its LIA-NTM line).
+Exit status: 0 success, 1 usage/syntax/evaluation errors, over-deep input
+included (an unhandled error-style notification prints an LIA-error line),
+2 terminating-style notification (after its LIA-NTM line).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import interval as ivl
 from . import ops
@@ -82,87 +83,58 @@ class CliError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    col: int
+MAX_DEPTH = 200
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
-
-
+# A parenthesis, a comment running to the end of its line, or an atom.
+_TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _atom(tok: _Token):
-    t = tok.text
-    if _NUMBER.match(t):
-        return float(t)
-    if t.lower().startswith(("0x", "+0x", "-0x")):
+def _error_at(text: str, pos: int, message: str) -> CliError:
+    """CliError at character offset pos; a tab or CR is one column."""
+    return CliError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _atom(tok: str, text: str, pos: int):
+    if _NUMBER.match(tok):
+        return float(tok)
+    if tok.lower().startswith(("0x", "+0x", "-0x")):
         try:
-            return float.fromhex(t)
+            return float.fromhex(tok)
         except ValueError:
-            raise CliError(f"malformed hex float {t!r}", tok.line, tok.col) from None
-    return t
+            raise _error_at(text, pos, f"malformed hex float {tok!r}") from None
+        except OverflowError:
+            raise _error_at(text, pos, f"hex float {tok!r} out of range") from None
+    return tok
 
 
 def parse(text: str):
     """One expression -> nested lists of floats and symbol strings."""
-    tokens = _tokenize(text)
+    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text) if m[0][0] != ";"]
     if not tokens:
         raise CliError("empty input", 1, 1)
-    form, rest = _read_form(tokens)
-    if rest:
-        tok = rest[0]
-        raise CliError(f"unexpected {tok.text!r} after expression", tok.line, tok.col)
+    stack: list[tuple[list, int]] = []  # open lists with the offsets of their '('
+    for i, (tok, pos) in enumerate(tokens):
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                raise _error_at(text, pos, f"nesting deeper than {MAX_DEPTH}")
+            stack.append(([], pos))
+            continue
+        if tok == ")":
+            if not stack:
+                raise _error_at(text, pos, "unexpected ')'")
+            form = stack.pop()[0]
+        else:
+            form = _atom(tok, text, pos)
+        if not stack:
+            break
+        stack[-1][0].append(form)
+    else:
+        raise _error_at(text, stack[-1][1], "unclosed parenthesis opened here")
+    if i + 1 < len(tokens):
+        tok, pos = tokens[i + 1]
+        raise _error_at(text, pos, f"unexpected {tok!r} after expression")
     return form
-
-
-def _read_form(tokens: list[_Token]):
-    tok = tokens[0]
-    if tok.text == "(":
-        items = []
-        rest = tokens[1:]
-        while True:
-            if not rest:
-                raise CliError(
-                    "unclosed parenthesis opened here", tok.line, tok.col
-                )
-            if rest[0].text == ")":
-                return items, rest[1:]
-            item, rest = _read_form(rest)
-            items.append(item)
-    if tok.text == ")":
-        raise CliError("unexpected ')'", tok.line, tok.col)
-    return _atom(tok), tokens[1:]
 
 
 def _unparse(form) -> str:
@@ -299,7 +271,7 @@ class Evaluator:
         if len(form) != 3:
             raise CliError(usage)
         kw = form[1]
-        if kw not in keywords:
+        if not isinstance(kw, str) or kw not in keywords:
             raise CliError(f"unknown {what} keyword {_unparse(kw)}")
         with scope(keywords[kw]):
             return self.eval(form[2])
@@ -364,7 +336,7 @@ class Evaluator:
         if not isinstance(form, list) or not form:
             raise CliError("handler clause must be (<kind-keyword> <action>*)")
         kw = form[0]
-        if kw not in _KIND_KEYWORDS:
+        if not isinstance(kw, str) or kw not in _KIND_KEYWORDS:
             raise CliError(f"unknown indicator keyword {_unparse(kw)}")
         actions = []
         for item in form[1:]:
@@ -382,7 +354,8 @@ class Evaluator:
                 expr = item[1]
                 actions.append(Continue(lambda e=expr: self.eval(e)))
             elif isinstance(item, list) and item and item[0] == ":raise":
-                if len(item) not in (2, 3) or item[1] not in _KIND_KEYWORDS:
+                if (len(item) not in (2, 3) or not isinstance(item[1], str)
+                        or item[1] not in _KIND_KEYWORDS):
                     raise CliError("(:raise <kind-keyword> [<payload>]) is the re-kind form")
                 kind = _KIND_KEYWORDS[item[1]]
                 if len(item) == 3:
@@ -432,7 +405,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first main() call and reused: parse_args keeps no state
+    # in the parser between calls.
     parser = _Parser(prog="liamath", description="LIA arithmetic evaluator")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -486,6 +462,11 @@ def _eval_line(text: str, env: FpEnvironment, dump_env: bool) -> bool:
         return False
     except FloatingPointNotification as cond:
         print(diagnostic(cond, "LIA-error"), file=sys.stderr)
+        return False
+    except RecursionError:
+        # The reader bounds nesting, but handler clauses evaluate inside the
+        # notification that invoked them, so their stack can still run out.
+        print("liamath: expression nested too deeply", file=sys.stderr)
         return False
     print(render_value(result))
     if dump_env:
