@@ -90,50 +90,54 @@ _TOKEN = re.compile(r"[()]|;[^\n]*|[^ \t\r\n();]+")
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _error_at(text: str, pos: int, message: str) -> CliError:
-    """CliError at character offset pos; a tab or CR is one column."""
+def _error_at(text: str, index: int, message: str) -> CliError:
+    """CliError at the index-th token of text, comments not counted; a tab
+    or CR is one column.  Tokens carry no offsets, so the offset is found
+    by scanning again: only errors pay for it."""
+    pos = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != ";"][index]
     return CliError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _atom(tok: str, text: str, pos: int):
+def _atom(tok: str, text: str, index: int):
     if _NUMBER.match(tok):
         return float(tok)
     if tok.lower().startswith(("0x", "+0x", "-0x")):
         try:
             return float.fromhex(tok)
         except ValueError:
-            raise _error_at(text, pos, f"malformed hex float {tok!r}") from None
+            raise _error_at(text, index, f"malformed hex float {tok!r}") from None
         except OverflowError:
-            raise _error_at(text, pos, f"hex float {tok!r} out of range") from None
+            raise _error_at(text, index, f"hex float {tok!r} out of range") from None
     return tok
 
 
 def parse(text: str):
     """One expression -> nested lists of floats and symbol strings."""
-    tokens = [(m[0], m.start()) for m in _TOKEN.finditer(text) if m[0][0] != ";"]
+    tokens = _TOKEN.findall(text)
+    if ";" in text:  # only a comment can hold one
+        tokens = [tok for tok in tokens if tok[0] != ";"]
     if not tokens:
         raise CliError("empty input", 1, 1)
-    stack: list[tuple[list, int]] = []  # open lists with the offsets of their '('
-    for i, (tok, pos) in enumerate(tokens):
+    stack: list[tuple[list, int]] = []  # open lists with the indexes of their '('
+    for i, tok in enumerate(tokens):
         if tok == "(":
             if len(stack) == MAX_DEPTH:
-                raise _error_at(text, pos, f"nesting deeper than {MAX_DEPTH}")
-            stack.append(([], pos))
+                raise _error_at(text, i, f"nesting deeper than {MAX_DEPTH}")
+            stack.append(([], i))
             continue
         if tok == ")":
             if not stack:
-                raise _error_at(text, pos, "unexpected ')'")
+                raise _error_at(text, i, "unexpected ')'")
             form = stack.pop()[0]
         else:
-            form = _atom(tok, text, pos)
+            form = _atom(tok, text, i)
         if not stack:
             break
         stack[-1][0].append(form)
     else:
         raise _error_at(text, stack[-1][1], "unclosed parenthesis opened here")
     if i + 1 < len(tokens):
-        tok, pos = tokens[i + 1]
-        raise _error_at(text, pos, f"unexpected {tok!r} after expression")
+        raise _error_at(text, i + 1, f"unexpected {tokens[i + 1]!r} after expression")
     return form
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
-from . import fpcore
+from . import fpcore, rounding
 # Indicator is defined beside the rounding cores that name it; this module
 # re-exports the same class.
 from .rounding import Indicator, RoundingMode, resolve_mode
@@ -243,7 +243,12 @@ def current_environment() -> FpEnvironment:
 
 
 def current_rounding_mode() -> RoundingMode:
-    return current_environment().mode
+    ctx = _context_var.get()
+    return (ctx if ctx is not None else _ctx()).env.mode
+
+
+# resolve_mode(None) reads the ambient mode through this, with no import.
+rounding._ambient_mode = current_rounding_mode
 
 
 def set_rounding_mode(mode: RoundingMode | int) -> None:
@@ -382,6 +387,11 @@ class TrapOptions:
 # --- notification delivery ---------------------------------------------------
 
 
+# Enum member lookups on the class are slow on Python 3.11 (EnumType has a
+# __getattr__); notify names the style it tests first once.
+_RECORDING = NotificationStyle.RECORDING
+
+
 def notify(kind: Indicator, operation: str, operands: tuple, continuation: object):
     """Raise an indicator from inside an operation.
 
@@ -391,10 +401,12 @@ def notify(kind: Indicator, operation: str, operands: tuple, continuation: objec
     resolving handler this raises; under terminating style it prints the
     diagnostic and exits with status 2.
     """
-    ctx = _ctx()
+    ctx = _context_var.get()
+    if ctx is None:
+        ctx = _ctx()
     env = ctx.env
     env.flags.add(kind)
-    if env.style is NotificationStyle.RECORDING or kind in env.mask:
+    if env.style is _RECORDING or kind in env.mask:
         return continuation
     cond = CONDITION_TYPES[kind](operation, operands, continuation)
     if env.style is NotificationStyle.TERMINATING:

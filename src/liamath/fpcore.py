@@ -5,6 +5,15 @@ the directed-rounding layer needs to recover the exact residual of a hardware
 round-to-nearest result.  All functions are pure and binary64-only.  CPython
 floats are binary64 on every supported platform; the conformance module
 probes that assumption at run time.
+
+The residual signs of a product, quotient and square root take a float path
+when every operand and the result lie strictly between 2**-900 and 2**900:
+Dekker's TwoProduct without FMA (Veltkamp split by 2**27 + 1) gives the
+product's error exactly, and the quotient and root residuals a - q*b and
+x - r*r follow from it with one exact (Sterbenz) subtraction.  Outside that
+range, where a split could overflow or an error term underflow, the same
+functions compare integer significands instead, which is exact everywhere.
+The proof of the range is at _two_product_error.
 """
 
 from __future__ import annotations
@@ -158,12 +167,52 @@ def _scaled_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
+# Dekker's TwoProduct is exact when its splits do not overflow and no partial
+# product underflows.  Take 2**-901 < |a*b| and |a|, |b| < 2**900:
+#   - the split computes SPLIT*x with |SPLIT*x| < 2**928, so it cannot
+#     overflow, and Veltkamp's split is then exact: x = hi + lo, hi and lo
+#     each of at most 26 significant bits (lo carrying its own sign), both
+#     multiples of ulp(x);
+#   - each of the four partial products therefore fits in 52 bits and is a
+#     multiple of ulp(a)*ulp(b) = 2**(ea+eb-104), ea and eb being the
+#     exponents of a and b; |a*b| > 2**-901 gives ea + eb >= -902, so that
+#     quantum is at least 2**-1006, above the subnormal quantum 2**-1074:
+#     nothing underflows and every partial product is exact;
+#   - all of them are below 2**902 in magnitude, so nothing overflows, and
+#     Dekker (1971) shows that the sum in _two_product_error is exact.
+# The guard 2**-900 < |.| < 2**900 on operands and result meets this for a
+# product; for q*b in a quotient and r*r in a square root the product is
+# within a factor of 2 of the dividend or radicand, which the guard bounds.
+# (The tight limits are |x| < 2**996 and ea + eb >= -970; the guard leaves
+# slack.)  A residual compared with zero after one more float subtraction
+# keeps its sign: with gradual underflow x - y rounds to zero only when
+# x == y, and rounding is monotonic.
+_SPLIT = 134217729.0                     # 2**27 + 1
+_TINY = 2.0 ** -900
+_HUGE = 2.0 ** 900
+
+
+def _two_product_error(a: float, b: float, p: float) -> float:
+    """a*b - p exactly, for p = RN(a*b) with a, b, p inside the guard range."""
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def prod_residual_sign(a: float, b: float, p: float) -> int:
     """Sign of a*b - p for finite operands and p = RN(a*b) finite.
 
-    The residual is never materialized as a float, so this is safe
-    arbitrarily deep in the subnormal range.
+    Float path inside the guard range; outside it the residual is never
+    materialized as a float, so this is safe arbitrarily deep in the
+    subnormal range.
     """
+    if _TINY < abs(a) < _HUGE and _TINY < abs(b) < _HUGE and _TINY < abs(p) < _HUGE:
+        e = _two_product_error(a, b, p)
+        return (e > 0.0) - (e < 0.0)
     if a == 0.0 or b == 0.0:
         return 0
     ma, ea = _decompose(a)
@@ -175,21 +224,35 @@ def prod_residual_sign(a: float, b: float, p: float) -> int:
 def quot_residual_sign(a: float, b: float, q: float) -> int:
     """Sign of a/b - q for finite a, finite nonzero b, and q = RN(a/b).
 
-    Equal to sign(a - q*b) * sign(b); the comparison is exact integer work
-    on the significands.
+    Equal to sign(a - q*b) * sign(b).  Inside the guard range,
+    q*b = p + e exactly by TwoProduct, and p = RN(q*b) lies within a factor
+    of 2 of a, so a - p is exact (Sterbenz) and a - q*b = (a - p) - e.
+    Outside it the comparison is exact integer work on the significands.
     """
-    ma, ea = _decompose(a)
-    mq, eq = _decompose(q)
-    mb, eb = _decompose(b)
-    s = _scaled_cmp(ma, ea, mq * mb, eq + eb)
+    if _TINY < abs(a) < _HUGE and _TINY < abs(b) < _HUGE and _TINY < abs(q) < _HUGE:
+        p = q * b
+        r = (a - p) - _two_product_error(q, b, p)
+        s = (r > 0.0) - (r < 0.0)
+    else:
+        ma, ea = _decompose(a)
+        mq, eq = _decompose(q)
+        mb, eb = _decompose(b)
+        s = _scaled_cmp(ma, ea, mq * mb, eq + eb)
     return -s if b < 0.0 else s
 
 
 def sqrt_residual_sign(x: float, r: float) -> int:
     """Sign of sqrt(x) - r for finite x > 0 and r = RN(sqrt(x)).
 
-    sqrt(x) and r are positive, so this is the sign of x - r*r.
+    sqrt(x) and r are positive, so this is the sign of x - r*r.  For x
+    inside the guard range, r lies within 2**-450 and 2**450, and
+    x - r*r = (x - p) - e with r*r = p + e by TwoProduct and x - p exact
+    (Sterbenz); outside it the comparison is exact integer work.
     """
+    if _TINY < x < _HUGE:
+        p = r * r
+        d = (x - p) - _two_product_error(r, r, p)
+        return (d > 0.0) - (d < 0.0)
     mx, ex = _decompose(x)
     mr, er = _decompose(r)
     return _scaled_cmp(mx, ex, mr * mr, 2 * er)

@@ -12,6 +12,19 @@ continuation), with the defaults and exceptions of IEEE 754-2019 section 7.
 The value keeps the host's NaN bits; the continuation of an invalid
 operation is the canonical QNAN.  The *_dir functions return the value;
 the ops layer notifies the indicator.
+
+The residual sign of a sum comes from TwoSum.  Those of a product,
+quotient and square root come from fpcore: a float path (Dekker's
+TwoProduct without FMA, Veltkamp split by 2**27 + 1) when the operands and
+the result lie strictly between 2**-900 and 2**900, where no split
+overflows and no error term underflows (the proof is in fpcore), and an
+exact integer comparison of significands outside that range.
+
+resolve_mode looks an explicit mode up in a table of the five operational
+members (their int and bool spellings hit it too); None reads the ambient
+mode through the reader the environment module installs.  Operands of the
+*_dir functions follow operand(): floats as they are, ints only when
+binary64 holds them exactly, anything else through float().
 """
 
 from __future__ import annotations
@@ -48,6 +61,11 @@ class Indicator(Enum):
     INVALID = "invalid"
     DIVIDE_BY_ZERO = "divide-by-zero"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # keeps sets and dicts of kinds as they were, at C speed (Enum.__hash__
+    # hashes the name in Python).
+    __hash__ = object.__hash__
+
 
 class RoundingMode(IntEnum):
     """Rounding directions with their interchange codes.
@@ -79,19 +97,56 @@ _MODE_LABELS = {
     RoundingMode.TO_NEAREST_EVEN: "nearest-even",
 }
 
+# On Python 3.11 every Enum member lookup on its class goes through
+# EnumType.__getattr__ (about 0.1 us), so the hot paths use these names.
 _NEAREST = (RoundingMode.TO_NEAREST, RoundingMode.TO_NEAREST_EVEN)
+_TO_ZERO = RoundingMode.TO_ZERO
+_UP = RoundingMode.TO_POSITIVE_INFINITY
+_DOWN = RoundingMode.TO_NEGATIVE_INFINITY
+_OVERFLOW = Indicator.OVERFLOW
+_UNDERFLOW = Indicator.UNDERFLOW
+_INEXACT = Indicator.INEXACT
+
+# The five operational modes by themselves; their int and bool spellings
+# hash and compare equal to them, so those hit the table too.
+_OPERATIONAL = {m: m for m in RoundingMode if m is not RoundingMode.INDETERMINATE}
+
+# Returns the ambient environment's mode.  The environment module, which
+# imports this one, installs its reader here when it is imported.
+_ambient_mode = None
 
 
 def resolve_mode(mode: RoundingMode | int | None) -> RoundingMode:
     """Normalize a mode argument; None means the ambient environment mode."""
     if mode is None:
-        from .environment import current_environment
-
-        mode = current_environment().mode
+        mode = _ambient_mode()
+    try:
+        return _OPERATIONAL[mode]
+    except (KeyError, TypeError):
+        pass
     mode = RoundingMode(mode)
     if mode is RoundingMode.INDETERMINATE:
         raise ValueError("indeterminate is not an operational rounding mode")
     return mode
+
+
+def operand(x, operation: str) -> float:
+    """The binary64 operand for x: a float as it is, an int (bool included)
+    that binary64 holds exactly as that float, anything else through
+    float().  Any other int is a ValueError naming the operation, raised
+    before the operation sets any flag."""
+    if x.__class__ is float:
+        return x
+    if isinstance(x, int):
+        try:
+            f = float(x)
+        except OverflowError:
+            f = math.inf
+        if f != x:
+            shown = x if x.bit_length() <= 1024 else f"of {x.bit_length()} bits"
+            raise ValueError(f"{operation}: int operand {shown} is not exact in binary64")
+        return f
+    return float(x)
 
 
 def add_parts(a: float, b: float) -> tuple[float, int, bool]:
@@ -135,38 +190,35 @@ def _rounded(parts: tuple[float, int, bool], mode: RoundingMode, addends=None):
     if overflowed:
         # rn is +-inf: nearest and the direction away from zero keep it, the
         # other directions stop at the largest finite magnitude.
-        if rn > 0:
-            away = RoundingMode.TO_POSITIVE_INFINITY
-        else:
-            away = RoundingMode.TO_NEGATIVE_INFINITY
+        away = _UP if rn > 0 else _DOWN
         value = rn if mode in _NEAREST or mode is away else math.copysign(MAX_FINITE, rn)
-        return value, Indicator.OVERFLOW, value
+        return value, _OVERFLOW, value
     if s == 0:
         # An exactly zero sum is +0 in every mode but toward -inf, unless
         # both addends are zeros of the same sign, which rn already keeps.
         if rn == 0.0 and addends is not None:
             a, b = addends
             if not (a == 0.0 and b == 0.0 and sign_bit(a) == sign_bit(b)):
-                rn = -0.0 if mode is RoundingMode.TO_NEGATIVE_INFINITY else 0.0
+                rn = -0.0 if mode is _DOWN else 0.0
         return rn, None, rn
     value = rn
     if mode not in _NEAREST:
         # Step to the neighbor when the exact value lies on the requested
         # side of rn.  Toward zero is upward below zero; when rn itself is a
         # zero, the residual sign settles which side of zero it stands for.
-        if mode is RoundingMode.TO_ZERO:
+        if mode is _TO_ZERO:
             up = rn < 0.0 or (rn == 0.0 and s < 0)
         else:
-            up = mode is RoundingMode.TO_POSITIVE_INFINITY
+            up = mode is _UP
         if (s > 0) == up:
             value = math.nextafter(rn, math.inf if up else -math.inf)
     # Overflow means the exact result lies strictly beyond the finite range,
     # equivalently the away-from-zero neighbor of maxfinite would be needed.
     if (rn == MAX_FINITE and s > 0) or (rn == -MAX_FINITE and s < 0):
-        return value, Indicator.OVERFLOW, value
+        return value, _OVERFLOW, value
     if abs(value) < MIN_NORMAL:
-        return value, Indicator.UNDERFLOW, value
-    return value, Indicator.INEXACT, value
+        return value, _UNDERFLOW, value
+    return value, _INEXACT, value
 
 
 def _host_special(r: float, a: float, b: float):
@@ -248,22 +300,30 @@ def sqrt_core(x: float, mode: RoundingMode):
 
 def add_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
     """a + b rounded in mode (ambient mode when None)."""
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = operand(a, "add_dir"), operand(b, "add_dir")
     return add_core(a, b, resolve_mode(mode))[0]
 
 
 def sub_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
     """a - b rounded in mode (ambient mode when None)."""
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = operand(a, "sub_dir"), operand(b, "sub_dir")
     return sub_core(a, b, resolve_mode(mode))[0]
 
 
 def mul_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
     """a * b rounded in mode (ambient mode when None)."""
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = operand(a, "mul_dir"), operand(b, "mul_dir")
     return mul_core(a, b, resolve_mode(mode))[0]
 
 
 def div_dir(a: float, b: float, mode: RoundingMode | int | None = None) -> float:
     """a / b rounded in mode (ambient mode when None); 0/0 and inf/inf give
     a quiet NaN, a nonzero over a zero the signed infinity."""
+    if a.__class__ is not float or b.__class__ is not float:
+        a, b = operand(a, "div_dir"), operand(b, "div_dir")
     return div_core(a, b, resolve_mode(mode))[0]
 
 
@@ -273,4 +333,6 @@ def sqrt_dir(x: float, mode: RoundingMode | int | None = None) -> float:
     Zeros return themselves (sqrt(-0.0) is -0.0); negative arguments give a
     quiet NaN.
     """
+    if x.__class__ is not float:
+        x = operand(x, "sqrt_dir")
     return sqrt_core(x, resolve_mode(mode))[0]

@@ -1,6 +1,7 @@
 """Bit model: classification, neighbors, error-free transformations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,110 @@ class TestSqrtResidualSign:
         r = math.sqrt(x)
         diff = Fraction(x) - Fraction(r) * Fraction(r)
         assert sqrt_residual_sign(x, r) == (diff > 0) - (diff < 0)
+
+
+def _sign(r: Fraction) -> int:
+    return (r > 0) - (r < 0)
+
+
+def _near_guard() -> list[float]:
+    """The guard bounds 2**-900 and 2**900 (and their square roots) with
+    values just inside and just outside them."""
+    out = []
+    for e in (-900, 900, -450, 450):
+        g = 2.0**e
+        out += [g, next_down(g), next_up(g), g * 1.5, g * (1.0 / 3.0), g * 3.0]
+    return out
+
+
+def _residual_corpus() -> list[float]:
+    """Positive magnitudes on both sides of each path's limits: values near
+    the guard bounds, subnormals, MIN_NORMAL, the top of the range,
+    split-sized and ordinary values."""
+    return [MIN_SUBNORMAL, 3 * MIN_SUBNORMAL, MIN_NORMAL / 3, next_down(MIN_NORMAL),
+            MIN_NORMAL, next_up(MIN_NORMAL), MAX_FINITE, next_down(MAX_FINITE),
+            MAX_FINITE / 3, 1.0, 3.0, 0.1, 1.0 / 3.0, 2.0**27 + 1.0, 2.0**-27,
+            2.0**53 - 1.0] + _near_guard()
+
+
+class TestResidualSignPaths:
+    """The float (TwoProduct) and integer paths of the three residual signs
+    agree with exact rational signs, seeded so every run checks the same
+    operands."""
+
+    RANDOM_COUNT = 6000
+
+    @staticmethod
+    def _operands(seed: int):
+        rng = random.Random(seed)
+        corpus = _residual_corpus()
+        near_guard = _near_guard()
+        pairs = [(a, b) for a in corpus for b in corpus]
+        for _ in range(TestResidualSignPaths.RANDOM_COUNT):
+            # exponents over the whole range, so both paths run
+            a = math.ldexp(rng.random() + 0.5, rng.randint(-1074, 1023))
+            b = math.ldexp(rng.random() + 0.5, rng.randint(-1074, 1023))
+            pairs.append((a, b))
+            # a product or quotient that lands next to a guard bound
+            t = rng.choice(near_guard)
+            pairs.append((a, t / a))
+            pairs.append((a * t, a))
+        for k in (-600, -520, -486, -485, -460, -451, -450, -449, 0, 449, 450, 451, 500):
+            # a residual of one unit in the 106th bit: 2**(2k-104), which
+            # underflows for k < -485 when computed in floats
+            one_up = math.ldexp(1.0 + 2.0**-52, k)
+            pairs.append((one_up, one_up))
+            pairs.append((one_up, math.ldexp(1.0 - 2.0**-53, k)))
+            pairs.append((one_up * one_up, one_up))
+        for _ in range(500):
+            # exact products and quotients: small integers times powers of 2
+            m, n = rng.randint(1, 2**20), rng.randint(1, 2**20)
+            ea, eb = rng.randint(-600, 500), rng.randint(-600, 500)
+            pairs.append((math.ldexp(m, ea), math.ldexp(n, eb)))
+            pairs.append((math.ldexp(m * n, ea), math.ldexp(n, eb)))
+        signed = []
+        for a, b in pairs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                continue
+            signed.append((a, b))
+            signed.append((-a, b))
+            signed.append((a, -b))
+        return signed
+
+    def test_product_sign(self):
+        checked = guarded = 0
+        for a, b in self._operands(101):
+            p = a * b
+            if math.isinf(p):
+                continue
+            residual = Fraction(a) * Fraction(b) - Fraction(p)
+            assert prod_residual_sign(a, b, p) == _sign(residual), (a, b)
+            if all(2.0**-900 < abs(v) < 2.0**900 for v in (a, b, p)):
+                # inside the guard the float error term is the exact residual
+                assert Fraction(fpcore._two_product_error(a, b, p)) == residual, (a, b)
+                guarded += 1
+            checked += 1
+        assert checked > 20000 and 0 < guarded < checked
+
+    def test_quotient_sign(self):
+        checked = 0
+        for a, b in self._operands(202):
+            if b == 0.0:
+                continue
+            q = a / b
+            if math.isinf(q):
+                continue
+            residual = Fraction(a) / Fraction(b) - Fraction(q)
+            assert quot_residual_sign(a, b, q) == _sign(residual), (a, b)
+            checked += 1
+        assert checked > 20000
+
+    def test_square_root_sign(self):
+        xs = {abs(a) for a, _ in self._operands(303)}
+        xs |= {x * x for x in _residual_corpus() if math.isfinite(x * x) and x * x > 0.0}
+        for x in xs:
+            r = math.sqrt(x)
+            assert sqrt_residual_sign(x, r) == _sign(Fraction(x) - Fraction(r) ** 2), x
 
 
 class TestDecimalForm:

@@ -1,6 +1,7 @@
 """Notifying arithmetic: special values, indicators, and comparisons."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +28,7 @@ from liamath.fpcore import (
     is_signaling,
     sign_bit,
 )
-from liamath.rounding import RoundingMode
+from liamath.rounding import RoundingMode, add_dir, div_dir, mul_dir, sqrt_dir, sub_dir
 
 NE = RoundingMode.TO_NEAREST_EVEN
 UP = RoundingMode.TO_POSITIVE_INFINITY
@@ -329,3 +330,71 @@ class TestInequality:
         for a in pool:
             for b in pool:
                 assert ops.neq(a, b) == (not ops.eq(a, b))
+
+
+class TestOperands:
+    """One operand rule for ops and the *_dir functions: floats as they are,
+    exact ints as floats, any other int a ValueError before any flag."""
+
+    def test_int_beyond_the_significand_is_rejected(self):
+        set_notification_style(REC)
+        with pytest.raises(ValueError) as info:
+            ops.add(2**53 + 1, 0.0, UP)
+        assert str(info.value) == "add: int operand 9007199254740993 is not exact in binary64"
+        assert flags() == set()
+
+    def test_int_beyond_the_range_is_rejected(self):
+        set_notification_style(REC)
+        for call, name in ((lambda: ops.add(10**400, 1.0), "add"),
+                           (lambda: add_dir(10**400, 1.0), "add_dir"),
+                           (lambda: ops.mul(1.0, -(10**400)), "mul"),
+                           (lambda: ops.eq(1.0, 10**400), "eq")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"{name}: int operand of 1329 bits is not exact in binary64"
+        # just past the largest finite double: shown in full below 1025 bits
+        with pytest.raises(ValueError) as info:
+            ops.sqrt(2**1024 - 2**970)
+        assert str(info.value) == f"sqrt: int operand {2**1024 - 2**970} is not exact in binary64"
+        assert flags() == set()
+
+    def test_every_operation_checks_every_operand(self):
+        bad = 2**53 + 1
+        calls = [(ops.add, "add"), (ops.sub, "sub"), (ops.mul, "mul"), (ops.div, "div"),
+                 (add_dir, "add_dir"), (sub_dir, "sub_dir"), (mul_dir, "mul_dir"),
+                 (div_dir, "div_dir")]
+        for fn, name in calls:
+            for args in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError, match=f"^{name}: int operand {bad} "):
+                    fn(*args)
+        for fn, name in ((ops.sqrt, "sqrt"), (sqrt_dir, "sqrt_dir")):
+            with pytest.raises(ValueError, match=f"^{name}: int operand {bad} "):
+                fn(bad)
+        for fn, name in ((ops.eq, "eq"), (ops.neq, "neq")):
+            with pytest.raises(ValueError, match=f"^{name}: int operand {bad} "):
+                fn(1.0, 2.0, bad)
+
+    def test_exact_ints_and_bools_become_floats(self):
+        set_notification_style(REC)
+        result = add_dir(1, 2)
+        assert type(result) is float and result == 3.0
+        assert type(ops.add(1, 2)) is float
+        assert ops.add(2**53, 0.0, UP) == 2.0**53
+        assert ops.mul(-(2**1023), 1) == -(2.0**1023)
+        assert ops.add(True, False) == 1.0 and type(ops.add(True, False)) is float
+        assert sqrt_dir(4) == 2.0
+        assert ops.eq(2**53, 2.0**53) and ops.neq(1, 2)
+        assert flags() == set()
+
+    def test_other_types_go_through_float(self):
+        set_notification_style(REC)
+        assert ops.add("0.1", Fraction(1, 5)) == 0.30000000000000004
+        assert add_dir(Fraction(1, 10), "0.2", DOWN) == 0.3
+
+        class Sub(float):
+            pass
+
+        result = ops.mul(Sub(1.5), 2.0)
+        assert type(result) is float and result == 3.0
+        with pytest.raises(TypeError):
+            ops.add(None, 1.0)

@@ -1,13 +1,15 @@
 """Directed rounding layer: values only, no flags."""
 
+import contextvars
 import math
+import threading
 import zlib
 
 import pytest
 
 import oracles
 from liamath.fpcore import MAX_FINITE, MIN_SUBNORMAL, QNAN, SNAN, float_to_bits, sign_bit
-from liamath.environment import evaluation_context, rounding_mode
+from liamath.environment import FpEnvironment, evaluation_context, rounding_mode
 from liamath.rounding import (
     RoundingMode,
     add_dir,
@@ -213,6 +215,74 @@ class TestAmbientMode:
             with rounding_mode(DOWN):
                 assert add_dir(0.1, 0.2) == 0.3
             assert add_dir(0.1, 0.2) == 0.30000000000000004
+
+
+class TestResolveMode:
+    """resolve_mode's contract: what it accepts, what it rejects and with
+    which message, and where None reads the ambient mode."""
+
+    @pytest.mark.parametrize(
+        "spelling",
+        [ZERO, NEAREST, UP, DOWN, NE, 0, 1, 2, 3, 4, True, False, 2.0],
+        ids=repr,
+    )
+    def test_accepted_spellings(self, spelling):
+        assert resolve_mode(spelling) is RoundingMode(spelling)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (-1, "indeterminate is not an operational rounding mode"),
+            (5, "5 is not a valid RoundingMode"),
+            (1.5, "1.5 is not a valid RoundingMode"),
+            ("x", "'x' is not a valid RoundingMode"),
+            ([1], "[1] is not a valid RoundingMode"),
+        ],
+        ids=repr,
+    )
+    def test_rejected_inputs(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            resolve_mode(bad)
+        assert str(info.value) == message
+
+    def test_none_reads_the_innermost_scope(self):
+        assert resolve_mode(None) is NE
+        with rounding_mode(UP):
+            assert resolve_mode(None) is UP
+            with rounding_mode(ZERO):
+                assert resolve_mode(None) is ZERO
+            assert resolve_mode(None) is UP
+        assert resolve_mode(None) is NE
+
+    def test_none_coerces_an_int_environment_mode(self):
+        with evaluation_context(FpEnvironment(mode=3)):
+            assert resolve_mode(None) is DOWN
+
+    def test_none_in_a_fresh_thread(self):
+        seen = []
+
+        def probe():
+            seen.append(resolve_mode(None))
+            with rounding_mode(DOWN):
+                seen.append(resolve_mode(None))
+
+        with rounding_mode(UP):
+            worker = threading.Thread(target=probe)
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert resolve_mode(None) is UP
+        assert seen == [NE, DOWN]
+
+    def test_none_under_a_copied_context(self):
+        def probe():
+            outer = resolve_mode(None)
+            with evaluation_context():
+                return outer, resolve_mode(None)
+
+        with rounding_mode(ZERO):
+            assert contextvars.copy_context().run(probe) == (ZERO, NE)
+            assert resolve_mode(None) is ZERO
 
 
 class TestAgainstOracle:
